@@ -7,6 +7,9 @@
 //!   prefix — measured in both time and resulting rule count;
 //! * **two-stage incremental** (§4.3.2 fast path) vs. a full pipeline
 //!   re-run per update.
+//!
+//! Every timed compile starts with the phase-A shard cache cleared, so it
+//! is a from-scratch run rather than a replay of cached units.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdx_bench::Workbench;
@@ -25,6 +28,7 @@ fn ablation_pair_pruning(c: &mut Criterion) {
         b.iter_custom(|iters| {
             let mut total = std::time::Duration::ZERO;
             for _ in 0..iters {
+                compiler.clear_shard_cache();
                 let mut vnh = VnhAllocator::default();
                 let r = compiler.compile_all(&wb.rs, &mut vnh).expect("compiles");
                 total += r.stats.compose_time;
@@ -38,6 +42,7 @@ fn ablation_pair_pruning(c: &mut Criterion) {
         b.iter_custom(|iters| {
             let mut total = std::time::Duration::ZERO;
             for _ in 0..iters {
+                compiler.clear_shard_cache();
                 let mut vnh = VnhAllocator::default();
                 let r = compiler.compile_all(&wb.rs, &mut vnh).expect("compiles");
                 total += r.stats.compose_time;
@@ -55,6 +60,7 @@ fn ablation_memoization(c: &mut Criterion) {
     g.bench_function("memoized", |b| {
         let mut compiler = wb.compiler();
         b.iter(|| {
+            compiler.clear_shard_cache();
             let mut vnh = VnhAllocator::default();
             compiler.compile_all(&wb.rs, &mut vnh).expect("compiles")
         })
@@ -63,6 +69,7 @@ fn ablation_memoization(c: &mut Criterion) {
         let mut compiler = wb.compiler();
         compiler.options.memoize = false;
         b.iter(|| {
+            compiler.clear_shard_cache();
             let mut vnh = VnhAllocator::default();
             compiler.compile_all(&wb.rs, &mut vnh).expect("compiles")
         })
@@ -93,6 +100,7 @@ fn ablation_fec_grouping(c: &mut Criterion) {
     g.bench_function("grouped", |b| {
         let mut compiler = wb.compiler();
         b.iter(|| {
+            compiler.clear_shard_cache();
             let mut vnh = VnhAllocator::default();
             compiler.compile_all(&wb.rs, &mut vnh).expect("compiles")
         })
@@ -101,6 +109,7 @@ fn ablation_fec_grouping(c: &mut Criterion) {
         let mut compiler = wb.compiler();
         compiler.options.fec_grouping = false;
         b.iter(|| {
+            compiler.clear_shard_cache();
             let mut vnh = VnhAllocator::default();
             compiler.compile_all(&wb.rs, &mut vnh).expect("compiles")
         })
@@ -126,6 +135,7 @@ fn ablation_incremental(c: &mut Criterion) {
     });
     g.bench_function("full_recompile_per_update", |b| {
         b.iter(|| {
+            compiler.clear_shard_cache();
             let mut vnh = VnhAllocator::default();
             compiler.compile_all(&wb.rs, &mut vnh).expect("compiles")
         })

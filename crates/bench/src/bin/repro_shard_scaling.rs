@@ -3,8 +3,9 @@
 //! Replays a calibrated AMS-IX-scale day against the compiler under each
 //! sharding configuration: a full-table cold compile, then every burst
 //! of a `sdx_ixp::updates` churn trace applied to the route server and
-//! followed by an incremental `compile_all`. Unsharded, each burst pays
-//! a full-table recompile; sharded, the compile-dirty set maps bursts to
+//! followed by an incremental `compile_all`. The `off` baseline compiles
+//! one shard with its cache cleared before every compile, so each burst
+//! pays a full-table recompile; sharded, the compile-dirty set maps bursts to
 //! shards and only those shards recompute their phase-A slices (the
 //! per-viewer × per-prefix FEC signature pass that dominates at table
 //! scale), everything else serving from the shard cache.
@@ -13,7 +14,7 @@
 //! configuration's final report is fingerprinted — total rules, total
 //! groups, per-shard group counts bucketed by the config's own plan, and
 //! an FNV-64 over the canonically relabeled classifier + groups — and
-//! asserted identical to the unsharded baseline's. A speedup without
+//! asserted identical to the `off` baseline's. A speedup without
 //! equality is a bug, not a result, so the binary refuses to print one.
 //!
 //! Run: `cargo run --release -p sdx-bench --bin repro_shard_scaling
@@ -84,7 +85,7 @@ fn main() {
     };
     let seed = 42u64;
     let configs: [(&'static str, Sharding); 5] = [
-        ("off", Sharding::Off),
+        ("off", Sharding::Shards(1)),
         ("shards(2)", Sharding::Shards(2)),
         ("shards(4)", Sharding::Shards(4)),
         ("shards(8)", Sharding::Shards(8)),
@@ -118,6 +119,9 @@ fn main() {
             for (from, msg) in &burst.updates {
                 rs.process_update(*from, msg);
             }
+            if name == "off" {
+                compiler.clear_shard_cache();
+            }
             let t = Instant::now();
             report = compiler.compile_all(&rs, &mut vnh).expect("burst compile");
             replay += t.elapsed();
@@ -144,7 +148,7 @@ fn main() {
     }
 
     // Equivalence gate (untimed): every sharded config's final table
-    // equals the unsharded baseline's, globally and per shard.
+    // equals the `off` baseline's, globally and per shard.
     let base = &results[0];
     let base_fp = canonical_fingerprint(&base.report);
     let base_groups: usize = base.report.groups.values().map(Vec::len).sum();
@@ -156,19 +160,19 @@ fn main() {
         assert_eq!(
             (groups, rules),
             (base_groups, base_rules),
-            "{}: rule/group counts diverged from unsharded",
+            "{}: rule/group counts diverged from off",
             r.name
         );
         let plan = r.plan.as_ref().expect("sharded config has a plan");
         assert_eq!(
             groups_by_shard(&r.report, plan),
             groups_by_shard(&base.report, plan),
-            "{}: per-shard group counts diverged from unsharded",
+            "{}: per-shard group counts diverged from off",
             r.name
         );
         if canonical_fingerprint(&r.report) != base_fp {
             mismatches += 1;
-            eprintln!("{}: canonical fingerprint diverged from unsharded", r.name);
+            eprintln!("{}: canonical fingerprint diverged from off", r.name);
         }
     }
     assert_eq!(mismatches, 0, "equivalence mismatches — numbers withheld");
@@ -235,7 +239,7 @@ fn main() {
     );
     println!(
         "\n  equivalence: every sharded configuration's final table matched the\n  \
-         unsharded baseline rule-for-rule after canonical VNH relabeling, and\n  \
+         `off` baseline rule-for-rule after canonical VNH relabeling, and\n  \
          per-shard group counts matched under each config's own plan (asserted\n  \
          before any number above was printed). speedup is replay wall-clock vs\n  \
          `off`: sharded bursts recompute only their dirty shards' FEC slices."

@@ -17,8 +17,10 @@
 //!    design"), or naively as one quadratic cross product when the
 //!    optimization is disabled (the ablation baseline).
 //!
-//! Steps 2–4 fan out per viewer, and step 5 per receiver block, on scoped
-//! worker threads ([`CompileOptions::parallelism`]); results are merged in
+//! Steps 2–3 fan out per `(shard, viewer)` unit over a cached, incremental
+//! phase A (see [`crate::shard`]; one shard by default), step 4 per viewer,
+//! and step 5 per receiver block, on scoped worker threads
+//! ([`CompileOptions::parallelism`]); results are merged in
 //! `ParticipantId` order and VNH ids are assigned from a single serial
 //! reservation, so the report is byte-identical for every worker count
 //! (see DESIGN.md §11).
@@ -57,7 +59,7 @@ type GroupMembership = (BTreeSet<usize>, BTreeSet<usize>);
 
 /// One viewer's phase-A output: the FEC prefix partition, per-group rule
 /// memberships, and per-group default next hops.
-type ViewerFecs = (
+pub(crate) type ViewerFecs = (
     Vec<Vec<Prefix>>,           // prefix partition (the FEC groups)
     Vec<GroupMembership>,       // per group: rule memberships
     Vec<Option<ParticipantId>>, // per group: default next hop
@@ -112,8 +114,8 @@ pub struct CompileOptions {
     /// Worker threads for the per-viewer and per-receiver pipeline phases.
     pub parallelism: Parallelism,
     /// Serve BGP joins from the route server's inverted announcer index
-    /// and decision cache; when off, every query re-scans the full Loc-RIB
-    /// (the index ablation / scan baseline).
+    /// and decision cache; when off, every unit's join re-scans the full
+    /// Loc-RIB (the index ablation / scan baseline).
     pub index_acceleration: bool,
     /// Maximum entries kept in the raw-policy memo cache; least-recently
     /// used entries are evicted past this (counted in
@@ -130,11 +132,8 @@ pub struct CompileOptions {
     pub break_consistency_filter: bool,
     /// Partition the prefix space into contiguous range shards and run the
     /// FEC phase per `(shard, viewer)` unit with incremental caching (see
-    /// [`crate::shard`]); the merged output is provably equivalent to the
-    /// unsharded pipeline modulo VNH id numbering. Sharded compilation
-    /// always uses the indexed BGP joins (the range-bounded join has no
-    /// scan variant), so `index_acceleration = false` only ablates the
-    /// unsharded path.
+    /// [`crate::shard`]); the merged output is the same for every shard
+    /// count modulo VNH id numbering. The default is one shard.
     pub sharding: Sharding,
 }
 
@@ -148,7 +147,7 @@ impl Default for CompileOptions {
             index_acceleration: true,
             memo_cap: DEFAULT_MEMO_CAP,
             break_consistency_filter: false,
-            sharding: Sharding::Off,
+            sharding: Sharding::default(),
         }
     }
 }
@@ -271,8 +270,8 @@ pub struct SdxCompiler {
     /// recompile a handful of units instead of the world.
     versions: PolicyVersions,
     /// Clean per-`(shard, viewer)` phase-A slices from the previous
-    /// sharded compile. `None` until a sharded compile runs (and reset by
-    /// any unsharded compile).
+    /// compile. `None` until the first compile (or after
+    /// [`clear_shard_cache`](Self::clear_shard_cache)).
     shard_cache: Option<ShardCache>,
 }
 
@@ -293,9 +292,9 @@ impl SdxCompiler {
         &self.telemetry
     }
 
-    /// The prefix-space partition the last sharded compile ran under, if
-    /// any. The controller uses it to attribute reconciliation flow-mods
-    /// back to shards; `None` after an unsharded compile.
+    /// The prefix-space partition the last compile ran under, if any. The
+    /// controller uses it to attribute reconciliation flow-mods back to
+    /// shards; `None` before the first compile.
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
         self.shard_cache.as_ref().map(|c| &c.plan)
     }
@@ -394,6 +393,12 @@ impl SdxCompiler {
         memo.clock = 0;
     }
 
+    /// Drops every cached phase-A unit, so the next compile rebuilds from
+    /// scratch (the from-scratch baselines in tests and benches).
+    pub fn clear_shard_cache(&mut self) {
+        self.shard_cache = None;
+    }
+
     /// Entries currently held in the raw-policy memo cache.
     pub fn memo_len(&self) -> usize {
         self.memo.lock().expect("memo lock poisoned").map.len()
@@ -450,7 +455,6 @@ impl SdxCompiler {
         let t0 = Instant::now();
         let mut stats = CompileStats::default();
         let workers = self.options.parallelism.workers();
-        let use_index = self.options.index_acceleration;
 
         // ---- Step 1 (serial): raw policy classifiers + outbound clause
         // extraction. Cheap relative to the BGP joins, and the memo cache
@@ -472,102 +476,17 @@ impl SdxCompiler {
 
         reg.observe_duration("compile.classifiers", t_classifiers.elapsed());
 
-        // ---- Phase A (parallel per viewer): affected sets + FEC
-        // partition. Each viewer's work is independent — it reads the
+        // ---- Phase A (parallel per (shard, viewer) unit): affected sets
+        // + FEC partition. Each unit's work is independent — it reads the
         // route server (Sync: the decision cache is behind a lock) and its
-        // own forwarding rules. Results merge in ParticipantId order
-        // below, so output is identical for any worker count.
+        // viewer's forwarding rules. Results merge in ParticipantId order,
+        // so output is identical for any worker count.
         let vnh_allocs = reg.counter("vnh.alloc.count");
         let t_vnh = Instant::now();
         let viewer_rules: Vec<(ParticipantId, &[FwdRule])> =
             fwd_rules.iter().map(|(&v, r)| (v, r.as_slice())).collect();
-        let fec_grouping = self.options.fec_grouping;
-        let break_consistency = self.options.break_consistency_filter;
-        let resolved_shards = self.options.sharding.resolve(vnh.partitions());
-        let fecs: Vec<ViewerFecs> = if let Some(n) = resolved_shards {
-            self.compile_fecs_sharded(rs, n, workers, &viewer_rules, &reg)
-        } else {
-            // An unsharded compile invalidates any cached shard slices —
-            // it does not drain the route server's compile-dirty set, so
-            // the cache could no longer tell what changed underneath it.
-            self.shard_cache = None;
-            parallel_map(workers, &viewer_rules, |_, &(viewer, rules)| {
-                let _viewer_timer = reg.start_timer("compile.viewer");
-                // Affected set per rule: prefixes the target exported to the
-                // viewer, overlapped by the rule's destination constraint.
-                // signature(p) = (rules touching p, partial marks, default nh).
-                let mut sig: BTreeMap<Prefix, GroupMembership> = BTreeMap::new();
-                // Many rules share the same target: cache the BGP join per
-                // next hop (indexed O(k) walk, or the full Loc-RIB scan when
-                // index acceleration is ablated away).
-                let mut via_cache: HashMap<ParticipantId, Vec<Prefix>> = HashMap::new();
-                for (k, rule) in rules.iter().enumerate() {
-                    if rule.rewritten_dst().is_some() {
-                        continue; // rewrite rules join BGP on the NEW address
-                    }
-                    let Some(PortId::Virt(nh)) = rule.target else {
-                        continue; // port steering / no-op: no BGP join
-                    };
-                    let via = via_cache.entry(nh).or_insert_with(|| {
-                        if break_consistency {
-                            // Sabotage knob (see `CompileOptions`): ignore the
-                            // Adj-RIB-Out filter and join on everything the
-                            // target ever announced.
-                            rs.loc_rib().announced_by(nh).collect()
-                        } else if use_index {
-                            rs.prefixes_via(viewer, nh)
-                        } else {
-                            rs.prefixes_via_scan(viewer, nh)
-                        }
-                    });
-                    for &p in via.iter() {
-                        match dst_coverage(&rule.matches, p) {
-                            Coverage::None => {}
-                            Coverage::Full => {
-                                sig.entry(p).or_default().0.insert(k);
-                            }
-                            Coverage::Partial => {
-                                let e = sig.entry(p).or_default();
-                                e.0.insert(k);
-                                e.1.insert(k);
-                            }
-                        }
-                    }
-                }
-                // One batched decision pass per viewer: every affected prefix
-                // is resolved exactly once (the old pipeline re-ran best_for
-                // per group on top of the per-item pass).
-                let best_nh: BTreeMap<Prefix, Option<ParticipantId>> = sig
-                    .keys()
-                    .map(|&p| {
-                        let best = if use_index {
-                            rs.best_for(viewer, p)
-                        } else {
-                            rs.best_for_scan(viewer, p)
-                        };
-                        (p, best.map(|r| r.source.participant))
-                    })
-                    .collect();
-                // Partition by (rule membership, partial marks, default next hop).
-                let items: Vec<(Prefix, _)> = sig
-                    .iter()
-                    .map(|(&p, (mem, part))| {
-                        let nh = best_nh[&p];
-                        let key = if fec_grouping {
-                            (mem.clone(), part.clone(), nh, None)
-                        } else {
-                            // Ablation: every prefix its own group.
-                            (mem.clone(), part.clone(), nh, Some(p))
-                        };
-                        (p, key)
-                    })
-                    .collect();
-                let parts = partition_by_signature(items);
-                let memberships = parts.iter().map(|ps| sig[&ps[0]].clone()).collect();
-                let defaults = parts.iter().map(|ps| best_nh[&ps[0]]).collect();
-                (parts, memberships, defaults)
-            })
-        };
+        let n = self.options.sharding.resolve(vnh.partitions());
+        let (fecs, plan) = self.compile_fecs_sharded(rs, n, workers, &viewer_rules, &reg);
 
         // ---- Phase B (serial, viewer order): VNH assignment. The whole
         // batch is reserved up front *by content-addressed key* and
@@ -595,29 +514,21 @@ impl SdxCompiler {
                     })
             })
             .collect();
-        // Sharded: each group's fresh id comes from the sub-range of the
-        // shard owning its first member prefix, so per-shard id draws are
+        // Each group's fresh id comes from the sub-range of the shard
+        // owning its first member prefix, so per-shard id draws are
         // independent of how other shards churn (keyed reuse still looks
         // up across the whole pool). Repartitioning an allocator with
-        // live ids is impossible without renumbering, so when sharding is
-        // switched on mid-life we *defer*: compile sharded against the
+        // live ids is impossible without renumbering, so when the shard
+        // count changes mid-life we *defer*: compile against the
         // allocator's current (coarser) partitioning — purely a perf
         // concession, keyed identity and equivalence are id-agnostic —
         // and count the deferral so operators can see it.
-        let shard_plan: Option<ShardPlan> = if let Some(n) = resolved_shards {
-            if vnh.ensure_partitions(n).is_err() {
-                reg.inc("compile.shard.repartition_deferred.count");
-            }
-            self.shard_cache.as_ref().map(|c| c.plan.clone())
-        } else {
-            None
-        };
-        let reservation = match &shard_plan {
-            Some(plan) => vnh.reserve_keyed_sharded(&wanted, |k| {
-                k.prefixes.first().map_or(0, |&p| plan.shard_of(p))
-            })?,
-            None => vnh.reserve_keyed(&wanted)?,
-        };
+        if vnh.ensure_partitions(n).is_err() {
+            reg.inc("compile.shard.repartition_deferred.count");
+        }
+        let reservation = vnh.reserve_keyed_sharded(&wanted, |k| {
+            k.prefixes.first().map_or(0, |&p| plan.shard_of(p))
+        })?;
         reg.add("vnh.reused.count", reservation.reused_len() as u64);
         reg.add("vnh.fresh.count", reservation.fresh_len() as u64);
         let mut triples = reservation.triples().iter();
@@ -864,22 +775,22 @@ impl SdxCompiler {
         })
     }
 
-    /// Phase A, sharded (see [`crate::shard`]): recompute the signature
+    /// Phase A (see [`crate::shard`]): recompute the signature
     /// slice of every **dirty** `(shard, viewer)` unit — a shard is dirty
     /// when the route server's compile-dirty set names a prefix in its
     /// range — reuse every clean unit from the cache, then merge the
     /// disjoint per-shard slices per viewer and run the *global* FEC
     /// partition over the union. Because signatures are per-prefix, the
-    /// merged map equals the unsharded phase-A map exactly, so the
-    /// partition (and everything downstream) is the unsharded one; the
+    /// merged map equals the one-shard phase-A map exactly, so the
+    /// partition (and everything downstream) is the one-shard one; the
     /// merge plus the shared partition is the entire cross-shard
     /// coordination pass (per-viewer best-route defaults ride in the
     /// signature, wide-match policies are joined by every shard against
     /// its own slice, and VMAC tag sub-ranges are assigned in phase B).
     ///
     /// The cache is thrown away whole on any fingerprint mismatch (plan
-    /// size, structural book epoch, route-server identity,
-    /// consistency-sabotage flag). Within a valid cache, two partial
+    /// size, structural book epoch, route-server identity, the options
+    /// phase A reads). Within a valid cache, two partial
     /// invalidation axes compose:
     ///
     /// * **BGP churn** invalidates by dirty shard — the route server's
@@ -904,16 +815,19 @@ impl SdxCompiler {
         workers: usize,
         viewer_rules: &[(ParticipantId, &[FwdRule])],
         reg: &SharedRegistry,
-    ) -> Vec<ViewerFecs> {
-        let fec_grouping = self.options.fec_grouping;
-        let break_consistency = self.options.break_consistency_filter;
+    ) -> (Vec<ViewerFecs>, ShardPlan) {
+        let options = self.options;
+        let fec_grouping = options.fec_grouping;
+        let break_consistency = options.break_consistency_filter;
+        let use_index = options.index_acceleration;
         let valid = match self.shard_cache.take() {
             Some(c)
                 if c.plan.len() == n
                     && c.versions.book() == self.versions.book()
                     && c.rs_id == rs.compile_id()
-                    && c.break_consistency == break_consistency
-                    && c.fec_grouping == fec_grouping =>
+                    && c.options.break_consistency_filter == break_consistency
+                    && c.options.fec_grouping == fec_grouping
+                    && c.options.index_acceleration == use_index =>
             {
                 Some(c)
             }
@@ -937,8 +851,7 @@ impl SdxCompiler {
                     versions: self.versions.clone(),
                     rules: HashMap::new(),
                     rs_id: rs.compile_id(),
-                    break_consistency,
-                    fec_grouping,
+                    options,
                     units: HashMap::new(),
                     merged: HashMap::new(),
                 },
@@ -1075,35 +988,17 @@ impl SdxCompiler {
                     .get(&s)
                     .is_none_or(|ps| could_affect(unit, ps, rules))
             };
-            if policy_viewers.contains(&v) {
-                for s in 0..n {
-                    match cache.units.get(&(s, v)) {
-                        None => work.push((s, v, rules)),
-                        Some(unit) => {
-                            if policy_stale.contains(&(s, v)) {
-                                work.push((s, v, rules));
-                            } else if dirty.contains(&s) {
-                                if route_hit(s, unit) {
-                                    work.push((s, v, rules));
-                                } else {
-                                    pruned += 1;
-                                }
-                            }
-                        }
-                    }
-                }
+            let shards: Vec<usize> = if policy_viewers.contains(&v) {
+                (0..n).collect()
             } else {
-                for &s in &dirty {
-                    match cache.units.get(&(s, v)) {
-                        None => work.push((s, v, rules)),
-                        Some(unit) => {
-                            if route_hit(s, unit) {
-                                work.push((s, v, rules));
-                            } else {
-                                pruned += 1;
-                            }
-                        }
-                    }
+                dirty.iter().copied().collect()
+            };
+            for s in shards {
+                let stale = policy_stale.contains(&(s, v));
+                match cache.units.get(&(s, v)) {
+                    Some(_) if !stale && !dirty.contains(&s) => {}
+                    Some(unit) if !stale && !route_hit(s, unit) => pruned += 1,
+                    _ => work.push((s, v, rules)),
                 }
             }
         }
@@ -1123,12 +1018,19 @@ impl SdxCompiler {
                 };
                 let via = via_cache.entry(nh).or_insert_with(|| {
                     if break_consistency {
-                        // Sabotage knob, range-restricted like the real
-                        // join so the oracle acceptance test still works
-                        // against sharded compiles.
+                        // Sabotage knob (see `CompileOptions`): ignore the
+                        // Adj-RIB-Out filter and join on everything the
+                        // target announced in the unit's range.
                         rs.loc_rib().announced_by_in(nh, lo, hi).collect()
-                    } else {
+                    } else if use_index {
                         rs.prefixes_via_bounded(viewer, nh, lo, hi)
+                    } else {
+                        // Scan ablation: the full Loc-RIB walk, cut to the
+                        // unit's range.
+                        rs.prefixes_via_scan(viewer, nh)
+                            .into_iter()
+                            .filter(|p| lo <= p.addr() && hi.is_none_or(|hi| p.addr() < hi))
+                            .collect()
                     }
                 });
                 for &p in via.iter() {
@@ -1147,7 +1049,14 @@ impl SdxCompiler {
             }
             let best_nh = sig
                 .keys()
-                .map(|&p| (p, rs.best_for(viewer, p).map(|r| r.source.participant)))
+                .map(|&p| {
+                    let best = if use_index {
+                        rs.best_for(viewer, p)
+                    } else {
+                        rs.best_for_scan(viewer, p)
+                    };
+                    (p, best.map(|r| r.source.participant))
+                })
                 .collect();
             ShardUnit { sig, best_nh }
         });
@@ -1168,7 +1077,7 @@ impl SdxCompiler {
 
         // Deterministic merge: per viewer, union the per-shard slices
         // (disjoint prefix ranges, so insertion order is irrelevant) and
-        // partition globally — identical inputs to the unsharded
+        // partition globally — identical inputs to the one-shard
         // partition, hence identical groups. Viewers whose units all
         // survived unchanged reuse last compile's merged output.
         let merge_t = Instant::now();
@@ -1196,7 +1105,7 @@ impl SdxCompiler {
                 }
                 // Signature keys borrow the cached sets: grouping only
                 // needs Ord/Eq, and `&BTreeSet` compares by contents, so
-                // the partition is identical to the unsharded one without
+                // the partition is identical to the one-shard one without
                 // cloning two sets per prefix on every compile.
                 let items: Vec<(Prefix, _)> = sig
                     .iter()
@@ -1219,8 +1128,9 @@ impl SdxCompiler {
             }
         }
         reg.observe_duration("compile.shard.merge", merge_t.elapsed());
+        let plan = cache.plan.clone();
         self.shard_cache = Some(cache);
-        fecs
+        (fecs, plan)
     }
 }
 
@@ -1691,7 +1601,8 @@ mod tests {
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         let pool = VnhAllocator::default_pool();
-        let mutations: Vec<(&str, Box<dyn Fn(&mut SdxCompiler)>)> = vec![
+        type Mutation = Box<dyn Fn(&mut SdxCompiler)>;
+        let mutations: Vec<(&str, Mutation)> = vec![
             (
                 "narrow an existing outbound policy",
                 Box::new(|c: &mut SdxCompiler| {

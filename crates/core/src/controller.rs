@@ -468,49 +468,40 @@ impl SdxController {
         Ok(())
     }
 
-    /// Runs the full (background) pipeline and swaps the fabric state:
-    /// fresh base table, fresh ARP bindings, FIB re-sync, overlays retired.
+    /// Runs the full (background) pipeline and commits it: the scheduled
+    /// path ([`prepare_scheduled`](Self::prepare_scheduled), then every
+    /// wave, then [`finish_scheduled`](Self::finish_scheduled)) without a
+    /// per-wave checker. Afterwards the base table is patched, the ARP
+    /// bindings and FIBs follow the new report, and the overlays are
+    /// retired.
     ///
-    /// The swap is transactional: the compiled result is validated before
-    /// any mutation, and any failure (compilation, validation, injected
-    /// fault) rolls the fabric and the controller bookkeeping back to the
-    /// pre-call state byte-for-byte, returning the typed error.
+    /// The whole update is one transaction: any failure (compilation,
+    /// validation, an injected fault, a wave that exhausts its retries or
+    /// that the switch rejects) rolls the fabric and the controller
+    /// bookkeeping back to the pre-call state byte-for-byte, returning
+    /// the typed error.
     ///
-    /// VNH recycling: the previous compilation's group ids and every
-    /// fast-path delta id are released back to the pool here — by the end
-    /// of this call no switch rule, FIB entry, or ARP cache references
-    /// them (the table is replaced, the FIBs are reconciled to the new VNH
-    /// map, and router ARP caches are flushed below), so a long-lived
-    /// controller never exhausts the pool under sustained churn.
+    /// VNH recycling: the previous compilation's retired group ids and
+    /// every fast-path delta id are released back to the pool here — by
+    /// the end of this call no switch rule, FIB entry, or ARP cache
+    /// references them, so a long-lived controller never exhausts the
+    /// pool under sustained churn.
     pub fn reoptimize(&mut self, fabric: &mut Fabric) -> Result<&CompileReport, SdxError> {
         let reg = self.telemetry.clone();
-        let overlays = self.delta_layers;
         let t0 = Instant::now();
         let txn = FabricTxn::begin(self, fabric);
-        match self.reoptimize_in_txn(fabric) {
-            Ok(()) => {
-                let elapsed = t0.elapsed();
-                reg.observe_duration("reoptimize.total", elapsed);
-                if overlays > 0 {
-                    reg.record_event(Event::OverlaysRetired { layers: overlays });
-                }
-                reg.set_gauge("controller.delta_layers", 0);
-                match self.report.as_ref() {
-                    Some(r) => {
-                        reg.record_event(Event::ReoptimizeCompleted {
-                            rules: r.stats.rule_count,
-                            groups: r.stats.group_count,
-                            latency_ns: nanos(elapsed),
-                        });
-                        reg.set_gauge("fabric.rules", r.stats.rule_count as i64);
-                        Ok(r)
-                    }
-                    // Unreachable by construction: the txn body always sets
-                    // the report on success.
-                    None => Err(SdxError::InvalidCommit(
-                        "reoptimize committed without a report".into(),
-                    )),
-                }
+        let committed = self.prepare_scheduled_in_txn(fabric).and_then(|prepared| {
+            let opts = crate::schedule::ScheduleOpts::default();
+            crate::schedule::drive(&prepared.plan, fabric, &mut self.faults, &reg, &opts, None)?;
+            Ok(prepared)
+        });
+        match committed {
+            Ok(prepared) => {
+                self.finish_scheduled(fabric, prepared, t0.elapsed());
+                reg.observe_duration("reoptimize.total", t0.elapsed());
+                self.report.as_ref().ok_or_else(|| {
+                    SdxError::InvalidCommit("reoptimize committed without a report".into())
+                })
             }
             Err(e) => {
                 reg.observe_duration("reoptimize.total", t0.elapsed());
@@ -519,114 +510,6 @@ impl SdxController {
                 Err(e)
             }
         }
-    }
-
-    /// The staged (compile, validate, then mutate) portion of reoptimize;
-    /// runs inside a [`FabricTxn`].
-    fn reoptimize_in_txn(&mut self, fabric: &mut Fabric) -> Result<(), SdxError> {
-        let reg = self.telemetry.clone();
-        // Fast-path delta ids are keyless allocations: release them
-        // *before* compiling so a pool exhausted by fast-path churn can
-        // recover here. Safe under the transaction: the snapshot restores
-        // the allocator on failure, and the overlay rules referencing them
-        // are removed in this same commit.
-        let delta_ids: Vec<crate::fec::FecId> = std::mem::take(&mut self.live_delta_ids);
-        let mut retired_addrs: Vec<Ipv4Addr> =
-            delta_ids.iter().map(|&id| self.vnh.vnh_of(id)).collect();
-        for &id in &delta_ids {
-            self.vnh.release(id);
-        }
-        // Take the old report: [`FabricTxn::begin`] already cloned it for
-        // rollback, and the reconciliation below wants the old VNH map
-        // without another deep copy. Keyed ids stay mapped through the
-        // compile — that is exactly what keeps unchanged FEC groups on
-        // their previous VNH/VMAC.
-        let old_report = self.report.take();
-        let report =
-            self.compiler
-                .compile_all_with_faults(&self.rs, &mut self.vnh, &mut self.faults)?;
-        reg.time("txn.validate", || crate::txn::validate_report(&report))?;
-        // Retire the fast-path overlay layers, then *patch* the base
-        // table: the diff against the keyed-identity recompile touches
-        // only the rules whose pattern, buckets, or cookie changed.
-        fabric.switch.table_mut().remove_at_or_above(DELTA_BASE);
-        self.epoch += 1;
-        let diff = crate::reconcile::diff_base_table(
-            fabric.switch.table(),
-            &report.classifier,
-            self.epoch,
-        );
-        let stats = fabric.apply_flowmods(&diff.batch).map_err(|e| {
-            SdxError::InvalidCommit(format!("reoptimize flow-mod batch rejected: {e}"))
-        })?;
-        reg.add("reconcile.unchanged.count", diff.unchanged as u64);
-        if diff.rebased {
-            reg.inc("reconcile.rebase.count");
-        }
-        self.note_shard_attribution(&reg, &report, &diff.batch);
-        reg.record_event(Event::FlowModBatchApplied {
-            epoch: self.epoch,
-            adds: stats.adds,
-            modifies: stats.modifies,
-            deletes: stats.deletes,
-        });
-        self.delta_layers = 0;
-        self.next_delta_priority = DELTA_BASE;
-        // Mid-commit fault point: the base table is already patched but
-        // ARP and FIBs are not yet synchronized — the torn state a firing
-        // here produces must be rolled back by the enclosing transaction.
-        self.faults.check(InjectionPoint::FabricCommit)?;
-        self.install_static_arp(fabric);
-        for &(vnh, vmac) in &report.arp_bindings {
-            fabric.arp.bind(vnh, vmac);
-        }
-        // Keyed identity keeps surviving groups on their exact VNH, so
-        // only ids whose key vanished actually retire. Unbind those
-        // addresses from the responder and invalidate them from router
-        // ARP caches — selectively: an address was only ever cached by
-        // the routers of the viewer that owned it, and every other cached
-        // entry stays warm (the fixed vnh→vmac mapping means a surviving
-        // entry can never be stale).
-        let new_ids: std::collections::BTreeSet<u32> = report
-            .groups
-            .values()
-            .flat_map(|gs| gs.iter().map(|g| g.id.0))
-            .collect();
-        let mut stale_ids: Vec<crate::fec::FecId> = Vec::new();
-        if let Some(old) = &old_report {
-            for g in old.groups.values().flatten() {
-                if !new_ids.contains(&g.id.0) {
-                    stale_ids.push(g.id);
-                    retired_addrs.push(g.vnh);
-                }
-            }
-        }
-        let live: std::collections::BTreeSet<Ipv4Addr> =
-            report.arp_bindings.iter().map(|(a, _)| *a).collect();
-        let ports: Vec<_> = fabric.ports().collect();
-        let mut invalidated = 0u64;
-        for addr in retired_addrs {
-            if live.contains(&addr) {
-                continue;
-            }
-            fabric.arp.unbind(addr);
-            for &port in &ports {
-                if let Some(r) = fabric.router_mut(port) {
-                    if r.invalidate_arp(addr) {
-                        invalidated += 1;
-                    }
-                }
-            }
-        }
-        reg.add("arp.invalidated.count", invalidated);
-        // Stale keyed ids release only now: through the compile they were
-        // still mapped, which is what kept live keys off their slots.
-        for id in stale_ids {
-            self.vnh.release(id);
-        }
-        self.report = Some(report);
-        self.full_fib_sync(fabric, old_report.as_ref().map(|r| &r.vnh_of));
-        Ok(())
     }
 
     /// Stages a *scheduled* re-optimization: compiles, validates, flips
@@ -665,12 +548,21 @@ impl SdxController {
     ) -> Result<PreparedUpdate, SdxError> {
         let reg = self.telemetry.clone();
         let overlays = self.delta_layers;
+        // Fast-path delta ids are keyless allocations: release them
+        // *before* compiling so a pool exhausted by fast-path churn can
+        // recover here. Safe under the transaction: the snapshot restores
+        // the allocator on failure, and the overlay rules referencing them
+        // are removed in this same update.
         let delta_ids: Vec<crate::fec::FecId> = std::mem::take(&mut self.live_delta_ids);
         let mut retired_addrs: Vec<Ipv4Addr> =
             delta_ids.iter().map(|&id| self.vnh.vnh_of(id)).collect();
         for &id in &delta_ids {
             self.vnh.release(id);
         }
+        // Take the old report: [`FabricTxn::begin`] already cloned it for
+        // rollback. Keyed ids stay mapped through the compile — that is
+        // exactly what keeps unchanged FEC groups on their previous
+        // VNH/VMAC.
         let old_report = self.report.take();
         let report =
             self.compiler
@@ -694,6 +586,9 @@ impl SdxController {
         self.note_shard_attribution(&reg, &report, &diff.batch);
         self.delta_layers = 0;
         self.next_delta_priority = DELTA_BASE;
+        // Mid-commit fault point: the overlays are already retired but
+        // ARP and FIBs are not yet flipped — the torn state a firing here
+        // produces must be rolled back by the enclosing transaction.
         self.faults.check(InjectionPoint::FabricCommit)?;
         // Control-plane flip, new bindings first: the old VMACs stay
         // resolvable until the last wave retires their rules.
@@ -839,19 +734,6 @@ impl SdxController {
             });
             reg.set_gauge("fabric.rules", r.stats.rule_count as i64);
         }
-    }
-
-    /// [`prepare_scheduled`](Self::prepare_scheduled) +
-    /// [`commit_scheduled`](Self::commit_scheduled) in one call, without
-    /// per-wave verification (the oracle crate's `reoptimize_verified`
-    /// wires a checker in).
-    pub fn reoptimize_scheduled(
-        &mut self,
-        fabric: &mut Fabric,
-        opts: &crate::schedule::ScheduleOpts,
-    ) -> Result<crate::schedule::ScheduleReport, SdxError> {
-        let prepared = self.prepare_scheduled(fabric)?;
-        self.commit_scheduled(fabric, prepared, opts, None)
     }
 
     /// Binds every participant port's physical address → MAC.
@@ -1147,6 +1029,23 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(1), 1));
         assert_eq!(fabric.stuck_at_virtual, 0);
+    }
+
+    #[test]
+    fn default_reoptimize_drains_compile_dirty() {
+        // The default configuration compiles through the shard cache, so
+        // every reoptimize consumes the route server's compile-dirty set
+        // instead of letting it grow with every update.
+        let (mut ctl, mut fabric) = deployment();
+        ctl.process_update(
+            pid(2),
+            &UpdateMessage::withdraw([prefix("54.0.0.0/8")]),
+            &mut fabric,
+        )
+        .expect("fast path");
+        assert!(ctl.rs.compile_dirty_len() > 0, "the withdrawal is dirt");
+        ctl.reoptimize(&mut fabric).expect("reoptimize");
+        assert_eq!(ctl.rs.compile_dirty_len(), 0);
     }
 
     #[test]

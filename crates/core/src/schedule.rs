@@ -552,7 +552,7 @@ pub struct ScheduleReport {
 /// * retry exhaustion → `schedule.abort.count`, a journaled
 ///   [`Event::UpdateAborted`], and [`SdxError::UpdateAborted`]; the fabric
 ///   stays **parked** with exactly the previously verified waves applied;
-/// * a checker rejection → the offending wave is rolled back (snapshot)
+/// * a checker rejection → the offending wave is rolled back (table copy)
 ///   and [`SdxError::UnsafeSchedule`] carries the counterexample; the
 ///   fabric parks in the pre-wave (verified) state;
 /// * a batch the switch itself rejects → [`SdxError::InvalidCommit`]
@@ -632,14 +632,14 @@ pub fn drive_fanout(
                 }
             }
         }
-        let snapshot = (checker.is_some() || sink.is_some()).then(|| fabric.snapshot());
+        let before = (checker.is_some() || sink.is_some()).then(|| fabric.switch.table().clone());
         fabric.apply_flowmods(wave).map_err(|e| {
             SdxError::InvalidCommit(format!("scheduled wave {i} rejected by the switch: {e}"))
         })?;
         if let Some(ref mut check) = checker {
             if let Err(counterexample) = check(fabric, i) {
-                if let Some(snap) = snapshot {
-                    fabric.restore(snap);
+                if let Some(table) = before {
+                    fabric.undo_batch(table);
                 }
                 telemetry.inc("schedule.unsafe.count");
                 return Err(SdxError::UnsafeSchedule {
@@ -650,8 +650,8 @@ pub fn drive_fanout(
         }
         if let Some(ref mut s) = sink {
             if let Err(e) = s.apply_wave(i, plan.waves.len(), wave) {
-                if let Some(snap) = snapshot {
-                    fabric.restore(snap);
+                if let Some(table) = before {
+                    fabric.undo_batch(table);
                 }
                 telemetry.inc("schedule.fanout_failed.count");
                 return Err(SdxError::InvalidCommit(format!(

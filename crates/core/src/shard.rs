@@ -17,7 +17,7 @@
 //! marks, best next hop)`) is computed **per prefix** — it never looks at
 //! any other prefix. So restricting a compile unit to a contiguous prefix
 //! range and then unioning the per-shard signature maps reproduces the
-//! unsharded signature map *exactly*, and the global
+//! one-shard signature map *exactly*, and the global
 //! [`partition_by_signature`](crate::fec::partition_by_signature) over the
 //! merged map yields the identical FEC partition, group for group. The
 //! merge step — plus the global partition, the per-viewer best-route
@@ -28,11 +28,11 @@
 //!
 //! The one observable difference is **id numbering**: a sharded compile
 //! draws each group's `(FecId, VNH, VMAC)` from its owner shard's
-//! sub-range, so ids differ from the unsharded run's sequential order
+//! sub-range, so ids differ from the one-shard run's sequential order
 //! while the induced forwarding function is the same.
 //! [`canonicalize_report`] quotients that away — it relabels any report's
 //! ids into a canonical enumeration order so equivalence suites can assert
-//! *byte equality* between sharded and unsharded output (see
+//! *byte equality* across shard counts (see
 //! `tests/shard_props.rs`), and the differential oracle checks the
 //! uncanonicalized artifacts end-to-end (`tests/shard_oracle.rs`).
 //!
@@ -46,6 +46,9 @@
 //! (`compile.shard.skipped.count` equals the shard count). This is where
 //! the AMS-IX replay bench (`repro_shard_scaling`) gets its speedup — the
 //! phase-A join dominates compile time, and churn is spatially local.
+//!
+//! This is the only phase-A path: the default [`Sharding::Shards`]`(1)`
+//! runs one unit per viewer over the whole table, with the same cache.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -53,7 +56,7 @@ use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, Prefix};
 use sdx_openflow::flowmod::{FlowMod, FlowModBatch};
 use sdx_policy::classifier::{Classifier, Rule};
 
-use crate::compiler::CompileReport;
+use crate::compiler::{CompileOptions, CompileReport, ViewerFecs};
 use crate::fec::{FecGroup, FecId};
 
 /// Upper bound on the shard count — far above any useful fan-out, but
@@ -62,13 +65,11 @@ pub const MAX_SHARDS: usize = 4096;
 
 /// How [`compile_all`](crate::compiler::SdxCompiler::compile_all)
 /// partitions the prefix space.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sharding {
-    /// The whole-world pipeline, unchanged (the equivalence baseline).
-    #[default]
-    Off,
     /// Exactly `n` contiguous prefix-range shards (rounded up to a power
-    /// of two, clamped to `[1, MAX_SHARDS]`).
+    /// of two, clamped to `[1, MAX_SHARDS]`). `Shards(1)`, the default, is
+    /// one unit per viewer over the whole table.
     Shards(usize),
     /// Follow the VNH allocator's existing partition count when it is
     /// already partitioned (so compile-side sharding and id sub-ranges
@@ -76,18 +77,23 @@ pub enum Sharding {
     Auto,
 }
 
+impl Default for Sharding {
+    fn default() -> Self {
+        Sharding::Shards(1)
+    }
+}
+
 impl Sharding {
-    /// The resolved shard count: `None` means run unsharded.
-    /// `vnh_partitions` is the allocator's current partition count.
-    pub fn resolve(self, vnh_partitions: usize) -> Option<usize> {
+    /// The resolved shard count. `vnh_partitions` is the allocator's
+    /// current partition count.
+    pub fn resolve(self, vnh_partitions: usize) -> usize {
         match self {
-            Sharding::Off => None,
-            Sharding::Shards(n) => Some(clamp_shards(n)),
-            Sharding::Auto => Some(clamp_shards(if vnh_partitions > 1 {
+            Sharding::Shards(n) => clamp_shards(n),
+            Sharding::Auto => clamp_shards(if vnh_partitions > 1 {
                 vnh_partitions
             } else {
                 8
-            })),
+            }),
         }
     }
 }
@@ -205,7 +211,7 @@ impl ShardPlan {
 /// One cached `(shard, viewer)` compile unit: the signature slice and
 /// batched decisions for the viewer restricted to the shard's range.
 /// Merging the per-shard `sig`/`best_nh` maps (disjoint key ranges)
-/// reproduces the viewer's unsharded phase-A output exactly.
+/// reproduces the viewer's whole-table phase-A output exactly.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct ShardUnit {
     /// prefix → (rule memberships, partial-coverage marks), restricted to
@@ -220,8 +226,8 @@ pub(crate) struct ShardUnit {
 
 /// The compiler's incremental shard cache: the stable plan plus every
 /// clean `(shard, viewer)` unit from the previous compile, fingerprinted
-/// by everything phase A reads (route-server identity, sabotage knob, the
-/// *structural* policy-book epoch). Any fingerprint mismatch throws the
+/// by everything phase A reads (route-server identity, compile options,
+/// the *structural* policy-book epoch). Any fingerprint mismatch throws the
 /// whole cache away. Within a valid cache, two partial-invalidation axes
 /// compose: BGP churn invalidates by dirty shard (the route server's
 /// compile-dirty set is authoritative), and policy churn invalidates
@@ -242,26 +248,19 @@ pub(crate) struct ShardCache {
     /// Identity of the route server instance the units were built from
     /// (fresh per instance and per clone — see `RouteServer::compile_id`).
     pub(crate) rs_id: u64,
-    /// The consistency-sabotage ablation changes what phase A joins on.
-    pub(crate) break_consistency: bool,
-    /// The merged FECs depend on whether grouping is enabled.
-    pub(crate) fec_grouping: bool,
+    /// The options the units were built under: the consistency sabotage
+    /// changes what phase A joins on, grouping changes the merged FECs,
+    /// and a scan-built cache must not serve an indexed compile (or vice
+    /// versa), so the index ablation always measures its own join.
+    pub(crate) options: CompileOptions,
     pub(crate) units: HashMap<(usize, ParticipantId), ShardUnit>,
     /// Per-viewer merged phase-A output from the previous compile, valid
     /// while every one of the viewer's units is unchanged: recomputing a
     /// dirty shard's unit and getting an identical slice back (churn that
     /// cancels, or dirt in prefixes the viewer never sees) skips the
     /// viewer's merge + re-partition entirely.
-    pub(crate) merged: HashMap<ParticipantId, MergedFecs>,
+    pub(crate) merged: HashMap<ParticipantId, ViewerFecs>,
 }
-
-/// A viewer's merged phase-A result: FEC member lists, their memberships,
-/// and their default next hops, in partition order.
-pub(crate) type MergedFecs = (
-    Vec<Vec<Prefix>>,
-    Vec<(BTreeSet<usize>, BTreeSet<usize>)>,
-    Vec<Option<ParticipantId>>,
-);
 
 /// Relabels a report's `(FecId, VNH, VMAC)` identities into canonical
 /// enumeration order — groups numbered from 1 in `(viewer, position)`
@@ -392,14 +391,12 @@ mod tests {
 
     #[test]
     fn resolve_rounds_and_clamps() {
-        assert_eq!(Sharding::Off.resolve(1), None);
-        assert_eq!(Sharding::Shards(3).resolve(1), Some(4));
-        assert_eq!(Sharding::Shards(8).resolve(1), Some(8));
-        assert_eq!(Sharding::Shards(0).resolve(1), Some(1));
-        assert_eq!(Sharding::Shards(usize::MAX).resolve(1), Some(MAX_SHARDS));
-        assert_eq!(Sharding::Auto.resolve(1), Some(8));
-        assert_eq!(Sharding::Auto.resolve(4), Some(4));
-        assert_eq!(Sharding::default(), Sharding::Off);
+        assert_eq!(Sharding::Shards(3).resolve(1), 4);
+        assert_eq!(Sharding::Shards(8).resolve(1), 8);
+        assert_eq!(Sharding::Shards(0).resolve(1), 1);
+        assert_eq!(Sharding::Shards(usize::MAX).resolve(1), MAX_SHARDS);
+        assert_eq!(Sharding::Auto.resolve(1), 8);
+        assert_eq!(Sharding::Auto.resolve(4), 4);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::arp::ArpResponder;
 use crate::border_router::BorderRouter;
 use crate::flowmod::{BatchStats, FlowModBatch, FlowModError};
 use crate::switch::Switch;
+use crate::table::FlowTable;
 
 /// A delivery out of the fabric: the physical port it left on.
 pub type Delivery = LocatedPacket;
@@ -182,6 +183,16 @@ impl Fabric {
     /// [`enable_batch_log`](Fabric::enable_batch_log) was called.
     pub fn drain_batches(&mut self) -> Vec<FlowModBatch> {
         std::mem::take(&mut self.batch_log.batches)
+    }
+
+    /// Undoes the last accepted [`apply_flowmods`](Fabric::apply_flowmods):
+    /// puts back `table`, the switch table as it stood before that batch,
+    /// and retracts the batch from the log. A flow-mod touches nothing
+    /// else, so this is the cheap rollback of one batch; a
+    /// [`snapshot`](Fabric::snapshot) also copies every router's FIB.
+    pub fn undo_batch(&mut self, table: FlowTable) {
+        *self.switch.table_mut() = table;
+        self.batch_log.batches.pop();
     }
 
     /// Captures the complete fabric state — flow table, ARP responder,
@@ -353,6 +364,24 @@ mod tests {
         let drained = f.drain_batches();
         assert_eq!(drained, vec![b1]);
         assert!(f.drain_batches().is_empty(), "drain empties the log");
+    }
+
+    #[test]
+    fn undo_batch_restores_the_table_and_retracts_the_batch() {
+        use crate::flowmod::FlowMod;
+        let mut f = two_party_fabric();
+        f.enable_batch_log();
+        let before = f.snapshot();
+        let mut b = FlowModBatch::new(1);
+        b.push(FlowMod::Add(FlowEntry::new(
+            50,
+            HeaderMatch::any(),
+            vec![vec![Mod::SetLoc(port(2, 1))]],
+        )));
+        f.apply_flowmods(&b).unwrap();
+        f.undo_batch(before.view().switch.table().clone());
+        assert_eq!(&f, before.view(), "undo is exact");
+        assert!(f.drain_batches().is_empty(), "undone batch never streams");
     }
 
     #[test]

@@ -81,10 +81,11 @@ pub struct DaemonConfig {
     pub seed: u64,
     /// Session supervision parameters (damping, backoff).
     pub supervisor: SupervisorConfig,
-    /// Compile sharding for the coalesced-burst reoptimize path: each
-    /// burst recompiles only the shards its updates dirtied (see
-    /// `sdx_core::Sharding`). `compile.shard.*` timers and gauges land in
-    /// the shared registry and flow out the telemetry endpoint.
+    /// Compile sharding for the reoptimize path: each reoptimize
+    /// recompiles only the shards its updates dirtied (see
+    /// `sdx_core::Sharding`; one shard by default). `compile.shard.*`
+    /// timers and gauges land in the shared registry and flow out the
+    /// telemetry endpoint.
     pub sharding: Sharding,
 }
 
@@ -98,7 +99,7 @@ impl Default for DaemonConfig {
             drain_max: 256,
             seed: 7,
             supervisor: SupervisorConfig::default(),
-            sharding: Sharding::Off,
+            sharding: Sharding::default(),
         }
     }
 }
@@ -603,7 +604,9 @@ impl EventLoop {
                 }
                 Input::PeerClosed { conn } => self.handle_peer_closed(conn),
                 Input::SwitchConnected { stream } => self.handle_switch_connected(stream),
-                Input::Reoptimize => self.reoptimize(),
+                Input::Reoptimize => {
+                    self.reoptimize();
+                }
                 Input::Stop => {
                     self.shutdown_drain();
                     break;
@@ -674,17 +677,17 @@ impl EventLoop {
     }
 
     /// One coalesced pass: ingest the BGP messages, stage the policy
-    /// frames, then compile once. Policy mutations take the policy-aware
-    /// recompile (per-(participant, shard) invalidation) which subsumes
-    /// any route dirt from the same burst; route-only bursts keep the
-    /// prefix-keyed fast path.
+    /// frames, then compile once. Policy mutations take the scheduled
+    /// [`reoptimize`](Self::reoptimize) (per-(participant, shard)
+    /// invalidation), which subsumes any route dirt from the same burst;
+    /// route-only bursts keep the prefix-keyed fast path.
     fn handle_burst(
         &mut self,
         msgs: Vec<(ConnId, BgpMessage, Instant)>,
         frames: Vec<(String, Option<TcpStream>)>,
     ) {
         let (changed, n_updates, arrivals) = self.ingest_peer_msgs(msgs);
-        let staged = self.stage_policy_frames(frames, n_updates);
+        let staged = self.stage_policy_frames(frames);
         if staged == 0 {
             self.flush(changed, n_updates, arrivals);
             return;
@@ -702,33 +705,19 @@ impl EventLoop {
                 ),
             });
         }
-        match self.ctl.reoptimize(&mut self.fabric) {
-            Ok(_) => {
-                self.stream_drained_batches();
-                self.publish_matcher_stats();
-                for at in arrivals {
-                    self.reg.observe(
-                        "daemon.update_to_flowmod_us",
-                        at.elapsed().as_micros() as u64,
-                    );
-                }
-            }
-            Err(_) => {
-                // Rolled back; staged policy stays in the book and the
-                // next successful compile converges.
-                self.reg.inc("daemon.policy_flush_failed.count");
-                let _ = self.fabric.drain_batches();
+        if self.reoptimize() {
+            for at in arrivals {
+                self.reg.observe(
+                    "daemon.update_to_flowmod_us",
+                    at.elapsed().as_micros() as u64,
+                );
             }
         }
     }
 
     /// Stages every policy frame of a burst into the controller's book
     /// (validated, journaled, acked per frame). Returns how many staged.
-    fn stage_policy_frames(
-        &mut self,
-        frames: Vec<(String, Option<TcpStream>)>,
-        _n_route_updates: usize,
-    ) -> u64 {
+    fn stage_policy_frames(&mut self, frames: Vec<(String, Option<TcpStream>)>) -> u64 {
         if frames.is_empty() {
             return 0;
         }
@@ -806,11 +795,6 @@ impl EventLoop {
             .stage_policy_delta(&delta)
             .map_err(|e| (seq, e.to_string()))?;
         Ok(seq)
-    }
-
-    fn handle_peer_msgs(&mut self, msgs: Vec<(ConnId, BgpMessage, Instant)>) {
-        let (changed, n_updates, arrivals) = self.ingest_peer_msgs(msgs);
-        self.flush(changed, n_updates, arrivals);
     }
 
     /// BGP ingestion only: answers protocol messages and returns the
@@ -1010,10 +994,10 @@ impl EventLoop {
         self.channels.push(ch);
     }
 
-    /// Full-state resynchronization of every agent — recovery after a
-    /// failed scheduled update may have left agents ahead of (or split
-    /// from) the driving fabric.
-    fn resync_agents(&mut self) {
+    /// Sends every agent a sync frame of the driving fabric's table and
+    /// waits for the acks. Returns whether every agent took it (the ones
+    /// that did not are reaped).
+    fn sync_agents(&mut self) -> bool {
         let image = codec::sync_batch(self.fabric.switch.table(), self.last_epoch);
         let mut dead: Vec<usize> = Vec::new();
         for (i, ch) in self.channels.iter_mut().enumerate() {
@@ -1021,15 +1005,17 @@ impl EventLoop {
                 dead.push(i);
             }
         }
-        self.reg.inc("daemon.resync.count");
+        let all = dead.is_empty();
         self.reap_channels(dead);
+        all
     }
 
     /// The scheduled path over sockets: retire overlays on the agents
     /// (the one table mutation `prepare_scheduled` performs outside the
     /// flow-mod protocol), then drive the planned waves through the
     /// local fabric *and* the channel fleet with per-wave barriers.
-    fn reoptimize(&mut self) {
+    /// Returns whether the update completed on every agent.
+    fn reoptimize(&mut self) -> bool {
         let had_overlays = self
             .fabric
             .switch
@@ -1042,29 +1028,19 @@ impl EventLoop {
             Ok(p) => p,
             Err(_) => {
                 // Rolled back to the pre-call state; agents untouched.
+                // Staged policy stays in the book and the next successful
+                // compile converges.
                 self.reg.inc("daemon.reoptimize_failed.count");
                 let _ = self.fabric.drain_batches();
-                return;
+                return false;
             }
         };
-        let mut ok = true;
-        if had_overlays {
-            // `prepare_scheduled` retired every fast-path overlay from
-            // the local table (the one un-scheduled mutation of an
-            // update). Agents take the same step as a sync frame of the
-            // post-retirement table — identical end state, and O(base)
-            // instead of one delete per retired overlay rule, which
-            // matters after a long burst run.
-            let sync = codec::sync_batch(self.fabric.switch.table(), self.last_epoch);
-            let mut dead: Vec<usize> = Vec::new();
-            for (i, ch) in self.channels.iter_mut().enumerate() {
-                if ch.send_sync(&sync).is_err() || ch.barrier().is_err() {
-                    dead.push(i);
-                }
-            }
-            ok = dead.is_empty();
-            self.reap_channels(dead);
-        }
+        // `prepare_scheduled` retired every fast-path overlay from the
+        // local table (the one un-scheduled mutation of an update). Agents
+        // take the same step as a sync frame of the post-retirement table
+        // — identical end state, and O(base) instead of one delete per
+        // retired overlay rule, which matters after a long burst run.
+        let ok = !had_overlays || self.sync_agents();
         let opts = ScheduleOpts::default();
         let mut channels = std::mem::take(&mut self.channels);
         let outcome = {
@@ -1085,20 +1061,21 @@ impl EventLoop {
         let streamed = self.fabric.drain_batches().len() as u64;
         self.batches_streamed += streamed;
         self.reg.add("daemon.batches_streamed.count", streamed);
-        match outcome {
-            Ok(_report) if ok => {
-                self.ctl
-                    .finish_scheduled(&mut self.fabric, prepared, t0.elapsed());
-            }
-            _ => {
-                // Parked mid-update (retry exhaustion) or a channel
-                // failed its wave: put every agent back on exactly the
-                // driving fabric's table, whatever state that is.
-                self.reg.inc("daemon.reoptimize_failed.count");
-                self.resync_agents();
-            }
+        let done = outcome.is_ok() && ok;
+        if done {
+            self.ctl
+                .finish_scheduled(&mut self.fabric, prepared, t0.elapsed());
+        } else {
+            // Parked mid-update (retry exhaustion) or a channel failed
+            // its wave: agents may be ahead of (or split from) the
+            // driving fabric, so put every one back on exactly its table,
+            // whatever state that is.
+            self.reg.inc("daemon.reoptimize_failed.count");
+            self.sync_agents();
+            self.reg.inc("daemon.resync.count");
         }
         self.publish_matcher_stats();
+        done
     }
 
     /// Bounded shutdown drain: flush what is already queued (never
@@ -1114,7 +1091,7 @@ impl EventLoop {
             }
         }
         if !msgs.is_empty() {
-            self.handle_peer_msgs(msgs);
+            self.handle_burst(msgs, Vec::new());
         }
         // Every queued frame reaches its barrier before we exit.
         let mut dead: Vec<usize> = Vec::new();

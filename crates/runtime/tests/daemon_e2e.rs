@@ -214,8 +214,10 @@ fn policy_frames_stage_deltas_and_nack_garbage_over_the_wire() {
     // flows through the incremental compile into the connected agent's
     // table — oracle-verified. Garbage (unknown writer, non-JSON) gets a
     // typed nack and stages nothing.
-    let mut cfg = DaemonConfig::default();
-    cfg.sharding = sdx_core::Sharding::Shards(4);
+    let cfg = DaemonConfig {
+        sharding: sdx_core::Sharding::Shards(4),
+        ..DaemonConfig::default()
+    };
     let handle = daemon::start(figure1_controller(), cfg).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -307,9 +309,11 @@ fn policy_frame_coalesces_with_a_route_burst() {
     let agent = slow_agent(handle.openflow_addr, Duration::from_millis(60));
     wait_counter(&reg, "daemon.switch_connected.count", 1);
 
+    let b = ParticipantConfig::new(2, 65002, 2);
     let d = ParticipantConfig::new(4, 65004, 1);
+    let mut peer_b = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer B");
     let mut peer = TestPeer::establish(handle.bgp_addr, 65004, 30).expect("peer");
-    wait_counter(&reg, "session.established.count", 1);
+    wait_counter(&reg, "session.established.count", 2);
 
     // Establish the policy connection up front and prove its reader is
     // live (a garbage line earns an instant nack) — the real frame later
@@ -321,11 +325,13 @@ fn policy_frame_coalesces_with_a_route_burst() {
     assert_eq!(warm_seq, 0);
     assert!(warm.is_err());
 
-    // First update: its compile streams a batch whose ack the slow agent
-    // sits on, pinning the event loop...
-    peer.send(&announce(&d, "60.0.0.0/8", &[65004, 500]))
+    // First update: from B, so A's outbound policy makes the prefix
+    // policy-affected and its compile streams a non-empty batch whose ack
+    // the slow agent sits on, pinning the event loop...
+    peer_b
+        .send(&announce(&b, "60.0.0.0/8", &[65002, 500]))
         .expect("send");
-    wait_counter(&reg, "daemon.compiles.count", 1);
+    wait_counter(&reg, "daemon.batches_streamed.count", 1);
 
     // ...while a policy frame and a burst of route updates queue behind
     // the barrier.
@@ -368,6 +374,49 @@ fn policy_frame_coalesces_with_a_route_burst() {
         )),
         "policy+route coalesce missing from journal: {:?}",
         events.iter().map(|e| e.event.kind()).collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn policy_push_after_a_route_burst_retires_overlays_on_the_agent() {
+    // A route burst leaves a fast-path overlay on the agent. The next,
+    // policy-only burst reoptimizes, which retires every overlay from the
+    // daemon's table; the agent must retire them too.
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let agent = spawn_agent(handle.openflow_addr).expect("agent");
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+
+    // From B, so A's outbound policy makes the prefix policy-affected and
+    // the fast path streams an overlay batch.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
+    peer.send(&announce(&b, "60.0.0.0/8", &[65002, 300]))
+        .expect("send");
+    wait_counter(&reg, "daemon.batches_streamed.count", 1);
+
+    let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = BufWriter::new(stream);
+    let frame = codec::encode_policy_frame(
+        1,
+        &[codec::PolicyOpFrame::replace(
+            pid(1),
+            PolicyScope::Outbound,
+            "match(dstport=443) >> fwd(B)",
+        )],
+    );
+    let (_, result) = policy_roundtrip(&mut w, &mut r, &frame);
+    assert_eq!(result, Ok(()));
+    wait_counter(&reg, "policy.applied.count", 1);
+
+    let report = handle.stop();
+    let agent_fabric = agent.join();
+    assert_eq!(counter(&reg, "daemon.reoptimize_failed.count"), 0);
+    assert_eq!(
+        agent_fabric.switch.table(),
+        report.fabric.switch.table(),
+        "agent kept overlays the daemon retired"
     );
 }
 
@@ -448,8 +497,10 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
     // coalesced-burst path: the deployed table must stay probe-identical
     // to the in-process unsharded deployment, and `compile.shard.*`
     // telemetry must flow out the endpoint.
-    let mut cfg = DaemonConfig::default();
-    cfg.sharding = sdx_core::Sharding::Shards(4);
+    let cfg = DaemonConfig {
+        sharding: sdx_core::Sharding::Shards(4),
+        ..DaemonConfig::default()
+    };
     let handle = daemon::start(figure1_empty_rib(), cfg).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -527,8 +578,10 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
 #[test]
 fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
     let clock = MockClock::new();
-    let mut cfg = DaemonConfig::default();
-    cfg.tick_ms = 10;
+    let cfg = DaemonConfig {
+        tick_ms: 10,
+        ..DaemonConfig::default()
+    };
     let handle =
         daemon::start_with_clock(figure1_empty_rib(), cfg, Arc::new(clock.clone())).expect("start");
     let reg = handle.telemetry().clone();
@@ -645,9 +698,10 @@ fn rejected_wave_resyncs_the_agent_and_the_next_update_succeeds() {
 #[test]
 fn graceful_shutdown_drains_through_injected_faults() {
     let mut ctl = figure1_controller();
-    // Every wave's first apply attempt fails; the scheduler's retry
-    // budget absorbs it.
-    ctl.faults = FaultPlan::seeded(11).fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 1);
+    // Deploy crosses wave 0 once; the second crossing, the scheduled
+    // update after the session is up, fails its first apply attempt and
+    // the scheduler's retry budget absorbs it.
+    ctl.faults = FaultPlan::seeded(11).fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 2);
     let handle = daemon::start(ctl, DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -677,7 +731,13 @@ fn graceful_shutdown_drains_through_injected_faults() {
     let started = kind_pos("daemon_started").expect("daemon_started");
     let established = kind_pos("session_established").expect("session_established");
     let injected = kind_pos("fault_injected").expect("fault_injected");
-    let wave = kind_pos("update_wave_applied").expect("update_wave_applied");
+    // Deploy journals its own waves before the daemon starts; the wave
+    // that matters is the first one applied after the start.
+    let wave = started
+        + events[started..]
+            .iter()
+            .position(|e| e.event.kind() == "update_wave_applied")
+            .expect("update_wave_applied");
     let stopped = kind_pos("daemon_stopped").expect("daemon_stopped");
     assert!(
         started < established && established < injected,

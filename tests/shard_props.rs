@@ -1,6 +1,6 @@
 //! Shard-invariance property tests: on random exchanges from
 //! [`sdx_oracle::synth`], a sharded compile — any shard count, any mode —
-//! must produce *the same fabric* as the unsharded pipeline.
+//! must produce *the same fabric* as the one-shard pipeline.
 //!
 //! "The same" is checked rule-for-rule after canonical relabeling
 //! ([`canonicalize_report`]): the one observable difference sharding is
@@ -69,10 +69,10 @@ fn assert_equivalent(seed: u64, sharding: Sharding, base: &CompileReport, sharde
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Off ≡ Shards(2) ≡ Shards(8) ≡ Auto on arbitrary exchanges.
+    /// Shards(1) ≡ Shards(2) ≡ Shards(8) ≡ Auto on arbitrary exchanges.
     #[test]
     fn sharded_compile_is_invariant_under_shard_count(seed in 0u64..1_000_000) {
-        let (_c, base) = compile_with(seed, Sharding::Off);
+        let (_c, base) = compile_with(seed, Sharding::Shards(1));
         for sharding in [Sharding::Shards(2), Sharding::Shards(8), Sharding::Auto] {
             let (_c, sharded) = compile_with(seed, sharding);
             assert_equivalent(seed, sharding, &base, &sharded);
@@ -81,10 +81,10 @@ proptest! {
 
     /// A second sharded compile of the *same* compiler (warm shard cache,
     /// nothing dirty) serves every unit from cache and still matches the
-    /// unsharded baseline — the cache cannot go stale silently.
+    /// one-shard baseline — the cache cannot go stale silently.
     #[test]
     fn warm_cache_recompile_is_still_invariant(seed in 0u64..1_000_000) {
-        let (_c, base) = compile_with(seed, Sharding::Off);
+        let (_c, base) = compile_with(seed, Sharding::Shards(1));
         let mut ex = synth::exchange(seed);
         ex.compiler.options.sharding = Sharding::Shards(4);
         let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
